@@ -13,8 +13,9 @@
 //      an optional consolidation pass minimizes the number of activated
 //      upgrades among cost-equal solutions (recovers the Fig. 7 example's
 //      "only one link is increased").
-//   6. A consistent-update transition plan is produced against the previous
-//      round's routing (Section 4.2 (ii)).
+//   6. The transition from the previous round's routing is checked for
+//      congestion-freedom (Section 4.2 (ii)); the optional update stage
+//      schedules it (rwc::update).
 #pragma once
 
 #include <memory>
@@ -28,7 +29,6 @@
 #include "obs/registry.hpp"
 #include "optical/modulation.hpp"
 #include "te/algorithm.hpp"
-#include "te/consistent_update.hpp"
 #include "update/schedule.hpp"
 
 namespace rwc::exec {
@@ -132,7 +132,7 @@ class DynamicCapacityController {
     double translate_seconds = 0.0;
     /// Consolidation post-pass, including its nested evaluations.
     double consolidate_seconds = 0.0;
-    /// Consistent-update transition planning + validation time.
+    /// Transition congestion check (RoundReport::transition_valid) time.
     double transition_seconds = 0.0;
     /// End-to-end run_round wall time.
     double total_seconds = 0.0;
@@ -185,9 +185,9 @@ class DynamicCapacityController {
     util::Gbps total_routed{0.0};
     /// Total penalty paid on fake links (upgrade disruption proxy).
     double total_penalty = 0.0;
-    /// Consistent-update steps from the previous round's routing.
-    te::UpdatePlan transition;
-    /// Whether the transition plan passed validation.
+    /// Whether the two-phase transition from the previous round's routing
+    /// (removals, then additions) keeps every link within its new
+    /// configured capacity: per edge, max(previous, new load) fits.
     bool transition_valid = false;
     /// Demand-estimation outcome of this round (only when options.demand
     /// selects kEstimated). Diagnostics — never part of a round's result

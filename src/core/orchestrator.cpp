@@ -1,10 +1,10 @@
 #include "core/orchestrator.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "obs/timer.hpp"
+#include "update/schedule.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 
@@ -39,17 +39,33 @@ ExecutionReport ReconfigurationOrchestrator::execute(
   obs::Span execute_span("orchestrator.execute");
 
   ExecutionReport report;
-  te::FlowAssignment previous = before;
-  previous.edge_load_gbps.resize(topology_after.edge_count(), 0.0);
-  report.transition = te::plan_transition(topology_after, previous,
-                                          plan.physical_assignment);
 
-  const std::set<std::int32_t> reconfigured = [&] {
-    std::set<std::int32_t> edges;
-    for (const CapacityChange& change : plan.upgrades)
-      edges.insert(change.edge.value);
-    return edges;
-  }();
+  // Drain/restore steps: the rwc::update schedule over the same transition,
+  // from the pre-upgrade rates to `topology_after`'s.
+  std::vector<util::Gbps> capacity_after;
+  capacity_after.reserve(topology_after.edge_count());
+  for (EdgeId edge : topology_after.edge_ids())
+    capacity_after.push_back(topology_after.edge(edge).capacity);
+  std::vector<util::Gbps> capacity_before = capacity_after;
+  for (const CapacityChange& change : plan.upgrades)
+    capacity_before[static_cast<std::size_t>(change.edge.value)] =
+        change.from;
+  update::SchedulerConfig config;
+  config.procedure = options_.procedure;
+  config.sampled_durations = false;  // phase 2 drives the devices instead
+  const update::UpdateSchedule schedule =
+      update::plan_schedule(topology_after, capacity_before, capacity_after,
+                            before, plan.physical_assignment, config);
+  report.success = schedule.feasible;
+  std::vector<const update::Move*> removes;
+  std::vector<const update::Move*> adds;
+  for (const update::UpdateRound& round : schedule.rounds)
+    for (const update::Move& move : round.moves) {
+      if (move.kind == update::Move::Kind::kRouteRemove)
+        removes.push_back(&move);
+      else if (move.kind == update::Move::Kind::kRouteAdd)
+        adds.push_back(&move);
+    }
 
   Seconds now = 0.0;
   auto emit = [&](OrchestratorEvent::Kind kind, EdgeId edge,
@@ -58,26 +74,11 @@ ExecutionReport ReconfigurationOrchestrator::execute(
         OrchestratorEvent{now, kind, edge, std::move(description)});
   };
 
-  // Phase 1: drain — all REMOVE steps, reconfigured links first so their
-  // modulation change starts as early as possible.
-  std::vector<const te::UpdateStep*> removes;
-  std::vector<const te::UpdateStep*> adds;
-  for (const te::UpdateStep& step : report.transition.steps)
-    (step.kind == te::UpdateStep::Kind::kRemove ? removes : adds)
-        .push_back(&step);
-  std::stable_sort(removes.begin(), removes.end(),
-                   [&](const te::UpdateStep* a, const te::UpdateStep* b) {
-                     auto touches = [&](const te::UpdateStep* s) {
-                       for (EdgeId e : s->path.edges)
-                         if (reconfigured.contains(e.value)) return true;
-                       return false;
-                     };
-                     return touches(a) && !touches(b);
-                   });
-  for (const te::UpdateStep* step : removes) {
+  // Phase 1: drain — every route removal of the schedule.
+  for (const update::Move* move : removes) {
     std::ostringstream os;
-    os << "drain " << step->volume << " from "
-       << graph::path_to_string(topology_after, step->path);
+    os << "drain " << move->volume << " from "
+       << graph::path_to_string(topology_after, move->path);
     emit(OrchestratorEvent::Kind::kDrainStep, EdgeId{}, os.str());
     now += options_.routing_step_latency;
   }
@@ -97,8 +98,9 @@ ExecutionReport ReconfigurationOrchestrator::execute(
     phase2_end = std::max(phase2_end, done_at);
     // Traffic that was on the link before the change is parked while the
     // modulation switches.
+    const auto e = static_cast<std::size_t>(change.edge.value);
     const double previous_load =
-        previous.edge_load_gbps[static_cast<std::size_t>(change.edge.value)];
+        e < before.edge_load_gbps.size() ? before.edge_load_gbps[e] : 0.0;
     report.parked_gbps_seconds += previous_load * result.downtime;
     const Seconds saved_now = now;
     now = done_at;
@@ -114,11 +116,11 @@ ExecutionReport ReconfigurationOrchestrator::execute(
   }
   now = phase2_end;
 
-  // Phase 3: restore — ADD steps onto the new capacities.
-  for (const te::UpdateStep* step : adds) {
+  // Phase 3: restore — every route addition, onto the new capacities.
+  for (const update::Move* move : adds) {
     std::ostringstream os;
-    os << "restore " << step->volume << " onto "
-       << graph::path_to_string(topology_after, step->path);
+    os << "restore " << move->volume << " onto "
+       << graph::path_to_string(topology_after, move->path);
     emit(OrchestratorEvent::Kind::kRestoreStep, EdgeId{}, os.str());
     now += options_.routing_step_latency;
   }

@@ -2,11 +2,12 @@
 //
 // The controller decides WHAT to change; this orchestrator executes it the
 // way an operator would, against the per-link BVT devices:
-//   phase 1 (drain)       — consistent-update REMOVE steps, so no traffic
-//                           rides a link while its modulation changes;
+//   phase 1 (drain)       — the route removals of the rwc::update schedule,
+//                           so no traffic rides a link while its
+//                           modulation change would strand it;
 //   phase 2 (reconfigure) — MDIO-driven modulation changes, in parallel
 //                           across links (each samples its own downtime);
-//   phase 3 (restore)     — consistent-update ADD steps onto the new
+//   phase 3 (restore)     — the schedule's route additions onto the new
 //                           capacities.
 // The produced timeline quantifies the §3.1 question at network level: how
 // long a capacity change takes end-to-end and how much traffic had to be
@@ -18,7 +19,7 @@
 
 #include "bvt/device.hpp"
 #include "core/translate.hpp"
-#include "te/consistent_update.hpp"
+#include "te/demand.hpp"
 
 namespace rwc::core {
 
@@ -43,10 +44,9 @@ struct ExecutionReport {
   /// Traffic-time parked off reconfigured links: sum over changes of
   /// (previous traffic on the link) x (its reconfiguration downtime).
   double parked_gbps_seconds = 0.0;
-  /// All modulation changes locked at their target rate.
+  /// The update schedule was feasible and all modulation changes locked
+  /// at their target rate.
   bool success = true;
-  /// The transition plan used for drain/restore, for auditing.
-  te::UpdatePlan transition;
 };
 
 /// Per-physical-edge BVT devices (indexed by EdgeId).
@@ -70,9 +70,12 @@ class ReconfigurationOrchestrator {
 
   /// Executes `plan` against `devices`. `topology_after` must carry the
   /// post-plan capacities; `before` is the routing in effect beforehand.
-  /// Devices of upgraded links are driven through change_modulation; a lock
-  /// failure marks the report unsuccessful (the link SNR could not sustain
-  /// the chosen rate — the controller's margin should prevent this).
+  /// Drain and restore steps come from update::plan_schedule under this
+  /// orchestrator's procedure, so kStandard also drains kept paths that
+  /// cross a dark link. Devices of upgraded links are driven through
+  /// change_modulation; an infeasible schedule or a lock failure marks the
+  /// report unsuccessful (the link SNR could not sustain the chosen rate —
+  /// the controller's margin should prevent this).
   ExecutionReport execute(const graph::Graph& topology_after,
                           const te::FlowAssignment& before,
                           const ReconfigurationPlan& plan,

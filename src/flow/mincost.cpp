@@ -9,6 +9,7 @@
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace rwc::flow {
 
@@ -90,15 +91,7 @@ DijkstraResult dijkstra_reduced(const ResidualNetwork& net, int source,
   return result;
 }
 
-/// Word-at-a-time mixer (murmur3-finalizer style). The fingerprint runs
-/// once per warm-capable solve over every arc, so it must cost one
-/// multiply chain per 64-bit word, not one per byte.
-inline std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
+using util::mix64;
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include "graph/ksp.hpp"
 #include "obs/registry.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace rwc::graph {
 
@@ -29,14 +30,7 @@ struct CacheMetrics {
   }
 };
 
-/// Word-at-a-time mixer (murmur3-finalizer style); the fingerprint runs on
-/// every cached lookup, so it hashes per 64-bit word, not per byte.
-inline std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
+using util::mix64;
 
 }  // namespace
 

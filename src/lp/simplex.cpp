@@ -6,6 +6,7 @@
 
 #include "obs/registry.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace rwc::lp {
 
@@ -14,14 +15,7 @@ namespace {
 constexpr double kEps = 1e-9;
 constexpr double kPivotEps = 1e-8;
 
-/// Word-at-a-time mixer (murmur3-finalizer style), matching the flow-layer
-/// fingerprints so collision behavior is uniform across solver tiers.
-inline std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
+using util::mix64;
 
 /// Dense simplex tableau. Row 0..m-1 are constraints; the objective is kept
 /// as a separate reduced-cost vector updated by pivoting.

@@ -12,6 +12,7 @@
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace rwc::replay {
 
@@ -526,6 +527,45 @@ std::vector<std::byte> encode(const Checkpoint& checkpoint) {
   for (const auto& [id, payload] : sections)
     append_section(writer, id, payload);
   return writer.take();
+}
+
+Error check_restore_shape(const Checkpoint& checkpoint,
+                          std::size_t edge_count, bool hysteresis,
+                          const demand::DemandPipeline* pipeline) {
+  const auto& state = checkpoint.controller;
+  const bool controller_ok =
+      state.configured.size() == edge_count &&
+      state.last_traffic.size() == edge_count &&
+      state.last_snr.size() == edge_count &&
+      state.hysteresis.has_value() == hysteresis &&
+      (!state.hysteresis.has_value() ||
+       (state.hysteresis->candidate.size() == edge_count &&
+        state.hysteresis->streak.size() == edge_count));
+  if (!controller_ok) return Error::kMalformed;
+  if (pipeline == nullptr) return Error::kNone;
+  if (!checkpoint.demand_present) return Error::kMissingSection;
+  const auto& demand = checkpoint.demand_state;
+  const bool demand_ok = (demand.last_observed.empty() ||
+                          demand.last_observed.size() == edge_count) &&
+                         (demand.capacity_peak_gbps.empty() ||
+                          demand.capacity_peak_gbps.size() == edge_count);
+  return demand_ok ? Error::kNone : Error::kMalformed;
+}
+
+std::uint64_t fold_round_signature(
+    std::uint64_t chain, std::uint64_t round,
+    const core::DynamicCapacityController::RoundReport& report) {
+  chain = util::mix64(chain, round);
+  chain = util::mix64(chain, report.plan.upgrades.size());
+  for (const auto& change : report.plan.upgrades) {
+    chain = util::mix64(chain, static_cast<std::uint32_t>(change.edge.value));
+    chain = util::mix_double(chain, change.to.value);
+  }
+  chain = util::mix_double(chain, report.total_routed.value);
+  chain = util::mix_double(chain, report.total_penalty);
+  chain = util::mix64(chain, report.reductions.size());
+  chain = util::mix64(chain, report.restorations.size());
+  return util::mix64(chain, report.transition_valid ? 1 : 0);
 }
 
 Error decode(std::span<const std::byte> bytes, Checkpoint& out) {

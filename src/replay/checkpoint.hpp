@@ -143,6 +143,25 @@ struct Checkpoint {
   demand::DemandPipeline::State demand_state;
 };
 
+/// Restore-time shape checks shared by ReplayDriver::restore and
+/// serve::ServeService::restore, made before either mutates any state: the
+/// controller section must fit `edge_count` edges and carry hysteresis
+/// state (of matching size) exactly when `hysteresis` is set; when
+/// `pipeline` is non-null the demand section is mandatory (kMissingSection)
+/// and must fit the edges. A decodable-but-foreign checkpoint therefore
+/// surfaces as a typed error, never as a throw from half-restored state.
+Error check_restore_shape(const Checkpoint& checkpoint,
+                          std::size_t edge_count, bool hysteresis,
+                          const demand::DemandPipeline* pipeline);
+
+/// Folds one round into a signature chain: the prop::RoundSignature fields
+/// as bit patterns, not rounded values, so two chains agree exactly when
+/// their rounds agree exactly. ReplayDriver and serve::ServeService both
+/// fold with it.
+std::uint64_t fold_round_signature(
+    std::uint64_t chain, std::uint64_t round,
+    const core::DynamicCapacityController::RoundReport& report);
+
 /// Serializes `checkpoint` into the framed binary form above.
 std::vector<std::byte> encode(const Checkpoint& checkpoint);
 

@@ -1,7 +1,6 @@
 #include "replay/driver.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 #include "exec/parallel.hpp"
@@ -12,6 +11,7 @@
 #include "te/mcf_te.hpp"
 #include "te/swan.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace rwc::replay {
 
@@ -40,18 +40,8 @@ struct DriverMetrics {
   }
 };
 
-/// Word-at-a-time mixer (murmur3-finalizer style), same construction as the
-/// fingerprints in graph::PathCache / flow::network_fingerprint.
-std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
-
-std::uint64_t mix_double(std::uint64_t hash, double value) {
-  return mix64(hash, std::bit_cast<std::uint64_t>(value));
-}
+using util::mix64;
+using util::mix_double;
 
 std::uint64_t fingerprint_of(const graph::Graph& topology,
                              const te::TrafficMatrix& demands,
@@ -301,21 +291,7 @@ core::DynamicCapacityController::RoundReport ReplayDriver::step() {
   metrics_.availability +=
       static_cast<double>(links_up) / static_cast<double>(edges);
 
-  // Fold this round's signature content (the prop::RoundSignature fields)
-  // into the chain: bit patterns, not rounded values, so the chain agrees
-  // exactly when the rounds agree exactly.
-  std::uint64_t chain = mix64(signature_chain_, round_);
-  chain = mix64(chain, report.plan.upgrades.size());
-  for (const auto& change : report.plan.upgrades) {
-    chain = mix64(chain, static_cast<std::uint32_t>(change.edge.value));
-    chain = mix_double(chain, change.to.value);
-  }
-  chain = mix_double(chain, routed);
-  chain = mix_double(chain, report.total_penalty);
-  chain = mix64(chain, report.reductions.size());
-  chain = mix64(chain, report.restorations.size());
-  chain = mix64(chain, report.transition_valid ? 1 : 0);
-  signature_chain_ = chain;
+  signature_chain_ = fold_round_signature(signature_chain_, round_, report);
 
   // Observation hook (rwc::fleet aggregation): round state is final here,
   // round_ still names the round just executed.
@@ -388,51 +364,27 @@ Error ReplayDriver::restore(const Checkpoint& checkpoint) {
     driver_metrics.rejected.add();
     return Error::kConfigMismatch;
   }
-  // Size validation up front so a failed restore leaves the driver
+  // Shape validation up front so a failed restore leaves the driver
   // untouched (decode CRCs make a mismatch here near-impossible, but the
   // contract is typed rejection, never a throw from half-applied state).
   const std::size_t edges = topology_.edge_count();
-  const auto& state = checkpoint.controller;
-  const bool sizes_ok =
-      checkpoint.cursors.size() == edges &&
-      state.configured.size() == edges &&
-      state.last_traffic.size() == edges && state.last_snr.size() == edges &&
-      state.hysteresis.has_value() == config_.hysteresis.has_value() &&
-      (!state.hysteresis.has_value() ||
-       (state.hysteresis->candidate.size() == edges &&
-        state.hysteresis->streak.size() == edges)) &&
-      checkpoint.round >= checkpoint.chunk_base_round &&
-      checkpoint.round <= config_.rounds;
-  if (!sizes_ok) {
-    driver_metrics.rejected.add();
-    return Error::kMalformed;
-  }
-  bool cursors_ok = true;
+  bool cursors_ok = checkpoint.cursors.size() == edges &&
+                    checkpoint.round >= checkpoint.chunk_base_round &&
+                    checkpoint.round <= config_.rounds;
   for (const auto& cursor : checkpoint.cursors)
     cursors_ok = cursors_ok && cursor.position == checkpoint.chunk_base_round;
-  if (!cursors_ok) {
-    driver_metrics.rejected.add();
-    return Error::kMalformed;
-  }
   // The demand section changes results, so when this driver estimates it is
   // MANDATORY: a checkpoint without it cannot reproduce the run (the round
   // index drives the counter noise stream, the EWMA anchors damped solves).
   demand::DemandPipeline* pipeline = controller_.demand_pipeline();
-  if (pipeline != nullptr) {
-    if (!checkpoint.demand_present) {
-      driver_metrics.rejected.add();
-      return Error::kMissingSection;
-    }
-    const demand::DemandPipeline::State& demand_state = checkpoint.demand_state;
-    const bool demand_ok =
-        (demand_state.last_observed.empty() ||
-         demand_state.last_observed.size() == edges) &&
-        (demand_state.capacity_peak_gbps.empty() ||
-         demand_state.capacity_peak_gbps.size() == edges);
-    if (!demand_ok) {
-      driver_metrics.rejected.add();
-      return Error::kMalformed;
-    }
+  const Error shape =
+      cursors_ok ? check_restore_shape(checkpoint, edges,
+                                       config_.hysteresis.has_value(),
+                                       pipeline)
+                 : Error::kMalformed;
+  if (shape != Error::kNone) {
+    driver_metrics.rejected.add();
+    return shape;
   }
 
   // Optional obs rewind first, so the restore's own bookkeeping lands on
@@ -446,7 +398,7 @@ Error ReplayDriver::restore(const Checkpoint& checkpoint) {
       registry.gauge(name).set(value);
   }
 
-  controller_.restore_state(state);
+  controller_.restore_state(checkpoint.controller);
   if (pipeline != nullptr) pipeline->restore_state(checkpoint.demand_state);
   latency_rng_ = util::Rng::from_state(checkpoint.latency_rng);
   round_ = checkpoint.round;

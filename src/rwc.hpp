@@ -75,7 +75,6 @@
 // te — traffic-engineering engines (unmodified consumers of topologies)
 #include "te/algorithm.hpp"
 #include "te/b4.hpp"
-#include "te/consistent_update.hpp"
 #include "te/cspf.hpp"
 #include "te/demand.hpp"
 #include "te/ecmp.hpp"
@@ -92,10 +91,6 @@
 #include "core/orchestrator.hpp"
 #include "core/penalty.hpp"
 #include "core/translate.hpp"
-
-// mgmt — management-plane interfaces (YANG-style config, SNMP-lite MIB)
-#include "mgmt/config_model.hpp"
-#include "mgmt/mib.hpp"
 
 // sim — discrete-event WAN simulation
 #include "sim/event.hpp"

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -12,6 +11,7 @@
 #include "replay/wire.hpp"
 #include "update/executor.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace rwc::serve {
@@ -51,19 +51,8 @@ constexpr std::uint64_t kServeRngStream = 0x53455256;  // "SERV"
 /// Inner format version of the kServe checkpoint payload.
 constexpr std::uint32_t kServePayloadVersion = 1;
 
-/// Word-at-a-time mixer (murmur3-finalizer style) — same construction and
-/// fold order as replay::ReplayDriver's signature chain, so serve rounds
-/// and replay rounds chain identically given identical reports.
-std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
-
-std::uint64_t mix_double(std::uint64_t hash, double value) {
-  return mix64(hash, std::bit_cast<std::uint64_t>(value));
-}
+using util::mix64;
+using util::mix_double;
 
 std::uint64_t fingerprint_of(const graph::Graph& topology,
                              const te::TrafficMatrix& base_demands,
@@ -199,20 +188,8 @@ ServeService::RoundReport ServeService::step_batch(
 
   RoundReport report = controller_.run_round(snr_, demands_);
 
-  // Fold this round into the chain — same fields and order as
-  // replay::ReplayDriver, bit patterns not rounded values.
-  std::uint64_t chain = mix64(signature_chain_, round_);
-  chain = mix64(chain, report.plan.upgrades.size());
-  for (const auto& change : report.plan.upgrades) {
-    chain = mix64(chain, static_cast<std::uint32_t>(change.edge.value));
-    chain = mix_double(chain, change.to.value);
-  }
-  chain = mix_double(chain, report.total_routed.value);
-  chain = mix_double(chain, report.total_penalty);
-  chain = mix64(chain, report.reductions.size());
-  chain = mix64(chain, report.restorations.size());
-  chain = mix64(chain, report.transition_valid ? 1 : 0);
-  signature_chain_ = chain;
+  signature_chain_ =
+      replay::fold_round_signature(signature_chain_, round_, report);
 
   // Consistent-update stage (config_.update): commit the round's schedule
   // BEFORE the epoch becomes visible — readers never observe a plan whose
@@ -316,31 +293,18 @@ replay::Error ServeService::restore(const replay::Checkpoint& checkpoint) {
   const std::uint64_t epochs = reader.u64();
   if (reader.failed() || !reader.exhausted()) return replay::Error::kMalformed;
 
-  // Controller-state shape checks up front: restore_state() RWC_CHECKs the
-  // same conditions, and a decodable-but-foreign payload must surface as a
+  // Controller- and demand-section shape checks up front (shared with
+  // ReplayDriver::restore): restore_state() RWC_CHECKs the same
+  // conditions, and a decodable-but-foreign payload must surface as a
   // typed error, never an abort.
-  const auto& state = checkpoint.controller;
-  const std::size_t edges = topology_.edge_count();
-  if (state.configured.size() != edges || state.last_traffic.size() != edges ||
-      state.last_snr.size() != edges)
-    return replay::Error::kMalformed;
-  if (state.hysteresis.has_value() != config_.hysteresis.has_value())
-    return replay::Error::kMalformed;
-  // Mandatory demand section when this service estimates (results depend
-  // on it); shape checks mirror ReplayDriver::restore.
   demand::DemandPipeline* pipeline = controller_.demand_pipeline();
-  if (pipeline != nullptr) {
-    if (!checkpoint.demand_present) return replay::Error::kMissingSection;
-    const demand::DemandPipeline::State& demand_state = checkpoint.demand_state;
-    if (!(demand_state.last_observed.empty() ||
-          demand_state.last_observed.size() == edges) ||
-        !(demand_state.capacity_peak_gbps.empty() ||
-          demand_state.capacity_peak_gbps.size() == edges))
-      return replay::Error::kMalformed;
-  }
+  const replay::Error shape = replay::check_restore_shape(
+      checkpoint, topology_.edge_count(), config_.hysteresis.has_value(),
+      pipeline);
+  if (shape != replay::Error::kNone) return shape;
 
   // Point of no return: every mutation below succeeds unconditionally.
-  controller_.restore_state(state);
+  controller_.restore_state(checkpoint.controller);
   if (pipeline != nullptr) pipeline->restore_state(checkpoint.demand_state);
   for (std::size_t d = 0; d < demands_.size(); ++d)
     demands_[d].volume = util::Gbps{volumes[d]};

@@ -1,6 +1,6 @@
 // Tests for the end-to-end DynamicCapacityController: upgrades on demand,
 // SNR-driven flaps (run/walk/crawl), recovery, consolidation (Fig. 7) and
-// consistent transitions.
+// the transition congestion check (transition_valid).
 #include <gtest/gtest.h>
 
 #include "core/controller.hpp"
@@ -207,6 +207,31 @@ TEST(Controller, TransitionPlansAreValidAcrossRounds) {
     te::validate_assignment(controller.current_topology(),
                             report.plan.physical_assignment);
   }
+}
+
+TEST(Controller, SnrFlapStrandsPreviousTrafficSoTransitionIsInvalid) {
+  // 80 G rides A-B at full rate; then the SNR walks the link down to 50 G
+  // under that traffic. Before any route removal the link already carries
+  // more than its new capacity, so no removal/addition order is
+  // congestion-free.
+  graph::Graph base;
+  const NodeId a = base.add_node("A");
+  const NodeId b = base.add_node("B");
+  base.add_edge(a, b, 100_Gbps);
+  te::McfTe engine;
+  DynamicCapacityController controller(
+      base, optical::ModulationTable::standard(), engine,
+      no_margin_options());
+  const te::TrafficMatrix demands = {{a, b, 80_Gbps, 0}};
+  EXPECT_TRUE(
+      controller.run_round(uniform_snr(base, 20.0), demands).transition_valid);
+  const auto report = controller.run_round(uniform_snr(base, 4.2), demands);
+  ASSERT_EQ(report.reductions.size(), 1u);
+  EXPECT_EQ(report.reductions[0].to, 50_Gbps);
+  EXPECT_FALSE(report.transition_valid);
+  // Once the traffic has moved down to 50 G, the next round is clean.
+  EXPECT_TRUE(
+      controller.run_round(uniform_snr(base, 4.2), demands).transition_valid);
 }
 
 TEST(Controller, WorksWithSwanEngineUnmodified) {

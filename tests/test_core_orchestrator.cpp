@@ -1,6 +1,8 @@
 // Tests for the device-backed reconfiguration orchestrator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/controller.hpp"
 #include "core/orchestrator.hpp"
 #include "sim/topology.hpp"
@@ -101,6 +103,63 @@ TEST(Orchestrator, StandardProcedureDominatesMakespan) {
   EXPECT_GT(standard.makespan, 50.0 * hitless.makespan);
   EXPECT_GT(standard.parked_gbps_seconds,
             50.0 * hitless.parked_gbps_seconds);
+}
+
+std::size_t count_events(const ExecutionReport& report,
+                         OrchestratorEvent::Kind kind) {
+  return static_cast<std::size_t>(
+      std::count_if(report.timeline.begin(), report.timeline.end(),
+                    [kind](const OrchestratorEvent& event) {
+                      return event.kind == kind;
+                    }));
+}
+
+TEST(Orchestrator, StandardProcedureDrainsKeptPathOnDarkLink) {
+  // The 90 G path A-B is kept (it grows to 150 G). The hitless procedure
+  // leaves it on the link; laser cycling darkens A-B, so the kept path is
+  // drained first and restored whole onto the new rate.
+  Scenario scenario = make_upgrade_scenario();
+  ReconfigurationOrchestrator::Options hitless_options;
+  hitless_options.procedure = bvt::Procedure::kEfficient;
+  ReconfigurationOrchestrator::Options standard_options;
+  standard_options.procedure = bvt::Procedure::kStandard;
+  auto hitless_devices = make_device_array(
+      scenario.base, optical::ModulationTable::standard(), 3, 16.0_dB);
+  auto standard_devices = hitless_devices;
+  const auto hitless = ReconfigurationOrchestrator(hitless_options)
+                           .execute(scenario.after, scenario.before,
+                                    scenario.plan, hitless_devices);
+  const auto standard = ReconfigurationOrchestrator(standard_options)
+                            .execute(scenario.after, scenario.before,
+                                     scenario.plan, standard_devices);
+  EXPECT_TRUE(hitless.success);
+  EXPECT_TRUE(standard.success);
+  EXPECT_EQ(count_events(hitless, OrchestratorEvent::Kind::kDrainStep), 0u);
+  EXPECT_EQ(count_events(hitless, OrchestratorEvent::Kind::kRestoreStep), 1u);
+  ASSERT_EQ(count_events(standard, OrchestratorEvent::Kind::kDrainStep), 1u);
+  EXPECT_EQ(count_events(standard, OrchestratorEvent::Kind::kRestoreStep),
+            1u);
+  for (const auto& event : standard.timeline) {
+    if (event.kind == OrchestratorEvent::Kind::kDrainStep) {
+      EXPECT_NE(event.description.find("drain 90"), std::string::npos)
+          << event.description;
+    } else if (event.kind == OrchestratorEvent::Kind::kRestoreStep) {
+      EXPECT_NE(event.description.find("restore 150"), std::string::npos)
+          << event.description;
+    }
+  }
+}
+
+TEST(Orchestrator, InfeasibleScheduleIsUnsuccessful) {
+  // The topology claims A-B stays at 100 G, but the plan routes 150 G on
+  // it: no update schedule reaches that state.
+  Scenario scenario = make_upgrade_scenario();
+  scenario.after.edge(EdgeId{0}).capacity = 100_Gbps;
+  auto devices = make_device_array(
+      scenario.base, optical::ModulationTable::standard(), 3, 16.0_dB);
+  const auto report = ReconfigurationOrchestrator({}).execute(
+      scenario.after, scenario.before, scenario.plan, devices);
+  EXPECT_FALSE(report.success);
 }
 
 TEST(Orchestrator, TimelinePhasesAreOrdered) {

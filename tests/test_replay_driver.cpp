@@ -209,6 +209,9 @@ TEST(ReplayDriver, RestoreRejectsConfigMismatchAndLeavesDriverUntouched) {
   driver.run(6);
   const std::uint64_t chain_before = driver.signature_chain();
   EXPECT_EQ(driver.restore(foreign), Error::kConfigMismatch);
+  Checkpoint malformed = other.checkpoint();
+  malformed.controller.last_snr.pop_back();
+  EXPECT_EQ(driver.restore(malformed), Error::kMalformed);
   EXPECT_EQ(driver.round(), 6u) << "failed restore must not move the driver";
   EXPECT_EQ(driver.signature_chain(), chain_before);
   // ...and it still finishes exactly like the uninterrupted run.

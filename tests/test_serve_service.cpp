@@ -221,6 +221,36 @@ TEST(ServeService, RestoreRejectsForeignAndServelessCheckpoints) {
   EXPECT_EQ(other.round(), 0u);
 }
 
+TEST(ServeService, RestoreRejectsWrongLengthHysteresisState) {
+  // A decodable checkpoint whose hysteresis vectors do not fit the
+  // topology must be a typed rejection before any state is touched — not
+  // a throw from HysteresisFilter::restore_state with the controller half
+  // restored.
+  const Fixture fixture;
+  ServeConfig config;
+  config.hysteresis = core::HysteresisParams{};
+  ServeService service = fixture.make(config);
+  service.step();
+  service.step();
+  const replay::Checkpoint checkpoint = service.checkpoint();
+  ASSERT_TRUE(checkpoint.controller.hysteresis.has_value());
+
+  ServeService other = fixture.make(config);
+  other.step();
+  const std::vector<std::byte> before = replay::encode(other.checkpoint());
+
+  replay::Checkpoint short_streak = checkpoint;
+  short_streak.controller.hysteresis->streak.pop_back();
+  EXPECT_EQ(other.restore(short_streak), replay::Error::kMalformed);
+  replay::Checkpoint long_candidate = checkpoint;
+  long_candidate.controller.hysteresis->candidate.emplace_back();
+  EXPECT_EQ(other.restore(long_candidate), replay::Error::kMalformed);
+  EXPECT_EQ(replay::encode(other.checkpoint()), before);
+
+  ASSERT_EQ(other.restore(checkpoint), replay::Error::kNone);
+  EXPECT_EQ(other.signature_chain(), service.signature_chain());
+}
+
 TEST(ServeService, FingerprintSeparatesConfigsButNotTuningKnobs) {
   const Fixture fixture;
   ServeConfig base;

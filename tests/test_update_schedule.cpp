@@ -11,11 +11,14 @@
 #include <cstddef>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/plan.hpp"
 #include "fault/registry.hpp"
+#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
+#include "sim/topology.hpp"
 #include "te/demand.hpp"
 #include "update/executor.hpp"
 #include "update/schedule.hpp"
@@ -139,6 +142,119 @@ TEST(UpdateSchedule, PathSwapSerializesRemovalsBeforeAdds) {
     EXPECT_EQ(move.kind, Move::Kind::kRouteRemove);
   for (const Move& move : schedule.rounds[1].moves)
     EXPECT_EQ(move.kind, Move::Kind::kRouteAdd);
+  EXPECT_EQ(schedule.route_moves, 4u);
+  std::string violation;
+  EXPECT_TRUE(validate_schedule(g, schedule, caps, after, &violation))
+      << violation;
+}
+
+TEST(UpdateSchedule, VolumeShrinkOnKeptPathIsOneRemoval) {
+  // 80 G -> 30 G on the same path: one removal of the 50 G delta, no add.
+  const graph::Graph g = diamond();
+  const auto caps = uniform_capacity(4, 100.0);
+  const auto before = split_assignment(g, 80.0, 0.0);
+  const auto after = split_assignment(g, 30.0, 0.0);
+  const UpdateSchedule schedule =
+      plan_schedule(g, caps, caps, before, after, efficient_config());
+  ASSERT_TRUE(schedule.feasible);
+  ASSERT_EQ(schedule.rounds.size(), 1u);
+  ASSERT_EQ(schedule.rounds[0].moves.size(), 1u);
+  const Move& move = schedule.rounds[0].moves[0];
+  EXPECT_EQ(move.kind, Move::Kind::kRouteRemove);
+  EXPECT_NEAR(move.volume.value, 50.0, 1e-9);
+  std::string violation;
+  EXPECT_TRUE(validate_schedule(g, schedule, caps, after, &violation))
+      << violation;
+}
+
+// The consistent-update invariants of Section 4.2 (ii) on the paper's
+// Fig. 7 square (links A-B, C-D, A-C, B-D at 100 G), checked against the
+// scheduler that plans every controller transition.
+
+/// One A->B routing per (path, volume) pair.
+te::FlowAssignment fig7_assignment(
+    const graph::Graph& g,
+    const std::vector<std::pair<graph::Path, double>>& routes) {
+  te::FlowAssignment assignment;
+  for (const auto& [path, gbps] : routes) {
+    te::FlowAssignment::DemandRouting routing;
+    routing.demand = te::Demand{*g.find_node("A"), *g.find_node("B"),
+                                Gbps{gbps}, 0};
+    routing.paths.emplace_back(path, Gbps{gbps});
+    routing.routed = Gbps{gbps};
+    assignment.routings.push_back(std::move(routing));
+  }
+  te::finalize_assignment(g, assignment);
+  return assignment;
+}
+
+/// The one-hop A-B path and the three-hop detour A-C-D-B.
+std::pair<graph::Path, graph::Path> fig7_direct_and_detour(
+    const graph::Graph& g) {
+  const NodeId a = *g.find_node("A");
+  const NodeId b = *g.find_node("B");
+  const NodeId c = *g.find_node("C");
+  const NodeId d = *g.find_node("D");
+  const graph::Path direct = graph::shortest_path(g, a, b);
+  graph::Path detour;
+  const std::pair<NodeId, NodeId> hops[] = {{a, c}, {c, d}, {d, b}};
+  for (const auto& [u, v] : hops) {
+    const EdgeId e = *g.find_edge(u, v);
+    detour.edges.push_back(e);
+    detour.weight += g.edge(e).weight;
+  }
+  return {direct, detour};
+}
+
+TEST(ConsistentUpdate, EmptyTransitionHasNoSteps) {
+  const graph::Graph g = sim::fig7_square();
+  const auto caps = uniform_capacity(g.edge_count(), 100.0);
+  const graph::Path direct = fig7_direct_and_detour(g).first;
+  const auto assignment = fig7_assignment(g, {{direct, 50.0}});
+  const UpdateSchedule schedule =
+      plan_schedule(g, caps, caps, assignment, assignment, efficient_config());
+  EXPECT_TRUE(schedule.feasible);
+  EXPECT_TRUE(schedule.rounds.empty());
+  EXPECT_EQ(schedule.route_moves, 0u);
+  std::string violation;
+  EXPECT_TRUE(validate_schedule(g, schedule, caps, assignment, &violation))
+      << violation;
+}
+
+TEST(ConsistentUpdate, RemovalsPrecedeAdditions) {
+  // 80 G moves from A-B onto A-C-D-B: one removal, one addition, and no
+  // addition is ever scheduled ahead of the removal.
+  const graph::Graph g = sim::fig7_square();
+  const auto caps = uniform_capacity(g.edge_count(), 100.0);
+  const auto [direct, detour] = fig7_direct_and_detour(g);
+  const auto before = fig7_assignment(g, {{direct, 80.0}});
+  const auto after = fig7_assignment(g, {{detour, 80.0}});
+  const UpdateSchedule schedule =
+      plan_schedule(g, caps, caps, before, after, efficient_config());
+  ASSERT_TRUE(schedule.feasible);
+  std::vector<Move::Kind> order;
+  for (const UpdateRound& round : schedule.rounds)
+    for (const Move& move : round.moves) order.push_back(move.kind);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], Move::Kind::kRouteRemove);
+  EXPECT_EQ(order[1], Move::Kind::kRouteAdd);
+  EXPECT_EQ(schedule.route_moves, 2u);
+  std::string violation;
+  EXPECT_TRUE(validate_schedule(g, schedule, caps, after, &violation))
+      << violation;
+}
+
+TEST(ConsistentUpdate, MultiDemandSwapStaysFeasible) {
+  // Two 70 G demands swap A-B and A-C-D-B; the remove-then-add order keeps
+  // every intermediate state under capacity.
+  const graph::Graph g = sim::fig7_square();
+  const auto caps = uniform_capacity(g.edge_count(), 100.0);
+  const auto [direct, detour] = fig7_direct_and_detour(g);
+  const auto before = fig7_assignment(g, {{direct, 70.0}, {detour, 70.0}});
+  const auto after = fig7_assignment(g, {{detour, 70.0}, {direct, 70.0}});
+  const UpdateSchedule schedule =
+      plan_schedule(g, caps, caps, before, after, efficient_config());
+  ASSERT_TRUE(schedule.feasible);
   EXPECT_EQ(schedule.route_moves, 4u);
   std::string violation;
   EXPECT_TRUE(validate_schedule(g, schedule, caps, after, &violation))
