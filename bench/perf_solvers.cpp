@@ -195,16 +195,21 @@ void BM_ControllerRound(benchmark::State& state) {
   exec::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
   core::ControllerOptions options;
   options.pool = &pool;
-  std::uint64_t evaluations = 0;
+  core::DynamicCapacityController::RoundStats stats;
   for (auto _ : state) {
     core::DynamicCapacityController controller(
         fixture.g, optical::ModulationTable::standard(), engine, options);
     const auto report = controller.run_round(fixture.snr, fixture.demands);
-    evaluations = report.stats.evaluations;
+    stats = report.stats;
     benchmark::DoNotOptimize(report.total_routed.value);
   }
+  // Trial demand solves copied from the current plan's evaluation vs run
+  // (docs/SOLVERS.md §6).
   state.SetLabel(std::to_string(state.range(1)) + " threads, " +
-                 std::to_string(evaluations) + " evals");
+                 std::to_string(stats.evaluations) + " evals, " +
+                 std::to_string(stats.trial_demands_reused) + " reused / " +
+                 std::to_string(stats.trial_demands_solved) +
+                 " solved trial demands");
 }
 BENCHMARK(BM_ControllerRound)
     ->Args({50, 1})
@@ -222,8 +227,8 @@ BENCHMARK(BM_ControllerRound)
 // sequences. Identical plans either way; only the time differs.
 // Consolidation is off so the rounds exercise the steady-state re-solve
 // path the warm start targets (recurring per-demand networks); trial
-// evaluations during consolidation each build one-shot networks that no
-// bounded cache can usefully retain (docs/CONCURRENCY.md, "Warm starts").
+// evaluations during consolidation bypass the cache and reuse their base
+// evaluation's demand prefix instead (docs/SOLVERS.md §6).
 void BM_ControllerRoundWarm(benchmark::State& state) {
   const ControllerRoundFixture fixture(static_cast<int>(state.range(0)));
   te::McfTe::Options engine_options;

@@ -40,6 +40,8 @@ struct ControllerMetrics {
   obs::Counter& incremental_augment_reuses;
   obs::Histogram& incremental_dirty_links;
   obs::Counter& partial_rounds;
+  obs::Counter& trial_demands_reused;
+  obs::Counter& trial_demands_solved;
 
   static ControllerMetrics& instance() {
     static auto& registry = obs::Registry::global();
@@ -62,6 +64,8 @@ struct ControllerMetrics {
         registry.counter("solver.incremental_augment_reuses"),
         registry.histogram("solver.incremental_dirty_links"),
         registry.counter("solver.partial_rounds"),
+        registry.counter("controller.consolidate.demands_reused"),
+        registry.counter("controller.consolidate.demands_solved"),
     };
     return metrics;
   }
@@ -106,6 +110,8 @@ void merge_eval_stats(DynamicCapacityController::RoundStats& into,
   into.solve_seconds += from.solve_seconds;
   into.translate_seconds += from.translate_seconds;
   into.evaluations += from.evaluations;
+  into.trial_demands_reused += from.trial_demands_reused;
+  into.trial_demands_solved += from.trial_demands_solved;
 }
 
 /// Whether the two-phase transition (every removal, then every addition)
@@ -197,8 +203,8 @@ Gbps DynamicCapacityController::configured_capacity(EdgeId edge) const {
 ReconfigurationPlan DynamicCapacityController::evaluate(
     const graph::Graph& current,
     std::span<const VariableLink> variable_links,
-    const te::TrafficMatrix& demands, RoundStats& stats,
-    AugmentCache* cache) const {
+    const te::TrafficMatrix& demands, RoundStats& stats, AugmentCache* cache,
+    const TrialState* base, TrialState* traced) const {
   ++stats.evaluations;
   obs::StopWatch watch;
   // Either path produces the identical augmented view: the cache rebuilds
@@ -218,21 +224,55 @@ ReconfigurationPlan DynamicCapacityController::evaluate(
   stats.augment_seconds += watch.seconds();
 
   watch.restart();
-  const te::FlowAssignment assignment =
-      engine_.solve(augmented->graph, demands);
+  te::FlowAssignment assignment;
+  if (traced == nullptr) {
+    assignment = engine_.solve(augmented->graph, demands);
+  } else if (base == nullptr) {
+    assignment = engine_.solve_traced(augmented->graph, demands, nullptr,
+                                      traced->trace);
+  } else {
+    // Plain mode keeps real edges id for id and appends fake edges in base
+    // link order, so the trial graph is the base graph minus the fake
+    // edges of links the trial dropped, in the same relative order.
+    std::vector<EdgeId> edge_map(base->trace.first_won.size());
+    for (std::size_t e = 0; e < augmented->base_edge_count; ++e)
+      edge_map[e] = EdgeId{static_cast<std::int32_t>(e)};
+    for (std::size_t link = 0; link < base->fake_edge_of.size(); ++link) {
+      const EdgeId fake = base->fake_edge_of[link];
+      if (fake.valid())
+        edge_map[static_cast<std::size_t>(fake.value)] =
+            augmented->fake_edge_of[link];
+    }
+    const te::TrialBase trial{base->assignment, base->trace, edge_map};
+    assignment = engine_.solve_traced(augmented->graph, demands, &trial,
+                                      traced->trace);
+    stats.trial_demands_reused += traced->trace.demands_reused;
+    stats.trial_demands_solved += traced->trace.demands_solved;
+  }
   stats.solve_seconds += watch.seconds();
 
   watch.restart();
   ReconfigurationPlan plan =
       translate_assignment(current, *augmented, variable_links, assignment);
   stats.translate_seconds += watch.seconds();
+  if (traced != nullptr && !traced->trace.empty()) {
+    traced->assignment = std::move(assignment);
+    traced->fake_edge_of = augmented->fake_edge_of;
+  }
   return plan;
 }
 
 void DynamicCapacityController::consolidate(
     exec::ThreadPool& pool, const graph::Graph& current,
     std::span<const VariableLink> variable_links,
-    const te::TrafficMatrix& demands, RoundReport& report) const {
+    const te::TrafficMatrix& demands, TrialState base,
+    RoundReport& report) const {
+  // Trials reuse the prefix of the evaluation behind the current plan while
+  // that evaluation kept a trace; the accepted trial's trace is the next
+  // base (docs/SOLVERS.md §6).
+  const auto trial_base = [&]() {
+    return base.trace.empty() ? nullptr : &base;
+  };
   // Try cheapest-traffic upgrades first: they are the likeliest to be
   // gratuitous tie-break artifacts.
   auto by_traffic = report.plan.upgrades;
@@ -266,9 +306,15 @@ void DynamicCapacityController::consolidate(
   if (pool.thread_count() <= 1) {
     for (const CapacityChange& candidate : by_traffic) {
       if (report.plan.upgrades.size() <= 1) break;
+      const TrialState* from = trial_base();
+      TrialState traced;
       ReconfigurationPlan trial =
-          evaluate(current, reduced_links(candidate), demands, report.stats);
-      if (accept(trial)) report.plan = std::move(trial);
+          evaluate(current, reduced_links(candidate), demands, report.stats,
+                   nullptr, from, from != nullptr ? &traced : nullptr);
+      if (accept(trial)) {
+        report.plan = std::move(trial);
+        if (from != nullptr) base = std::move(traced);
+      }
     }
     return;
   }
@@ -291,9 +337,12 @@ void DynamicCapacityController::consolidate(
     const std::size_t wave = std::min(window, by_traffic.size() - next);
     std::vector<ReconfigurationPlan> trials(wave);
     std::vector<RoundStats> trial_stats(wave);
+    const TrialState* from = trial_base();
+    std::vector<TrialState> traced(from != nullptr ? wave : 0);
     exec::parallel_for(pool, wave, [&](std::size_t i) {
       trials[i] = evaluate(current, reduced_links(by_traffic[next + i]),
-                           demands, trial_stats[i]);
+                           demands, trial_stats[i], nullptr, from,
+                           from != nullptr ? &traced[i] : nullptr);
     });
     std::size_t accepted = wave;
     for (std::size_t i = 0; i < wave; ++i) {
@@ -309,6 +358,7 @@ void DynamicCapacityController::consolidate(
       continue;
     }
     report.plan = std::move(trials[accepted]);
+    if (from != nullptr) base = std::move(traced[accepted]);
     next += accepted + 1;
   }
 }
@@ -454,9 +504,17 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
       report.plan = memo_.plan;
       report.stats.incremental_hit = true;
     } else {
+      // Consolidation trials reuse the primary evaluation's solved prefix
+      // through its trace. Gadget mode rewires base edges per variable
+      // link, so its trials have no edge map onto the primary's graph and
+      // run in full.
+      const bool keep_trace = options_.consolidate &&
+                              !options_.augment.unsplittable_gadget;
+      TrialState primary;
       report.plan =
           evaluate(current, variable_links, *round_demands, report.stats,
-                   options_.incremental ? &augment_cache_ : nullptr);
+                   options_.incremental ? &augment_cache_ : nullptr, nullptr,
+                   keep_trace ? &primary : nullptr);
       if (options_.incremental)
         report.stats.dirty_links = augment_cache_.last_dirty().size();
 
@@ -467,7 +525,8 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
         exec::ThreadPool& pool = options_.pool != nullptr
                                      ? *options_.pool
                                      : exec::ThreadPool::global();
-        consolidate(pool, current, variable_links, *round_demands, report);
+        consolidate(pool, current, variable_links, *round_demands,
+                    std::move(primary), report);
         report.stats.consolidate_seconds = consolidate_watch.seconds();
       }
 
@@ -550,6 +609,8 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
   metrics.restorations.add(report.restorations.size());
   metrics.upgrades.add(report.plan.upgrades.size());
   metrics.evaluations.add(report.stats.evaluations);
+  metrics.trial_demands_reused.add(report.stats.trial_demands_reused);
+  metrics.trial_demands_solved.add(report.stats.trial_demands_solved);
   metrics.variable_links.set(static_cast<double>(variable_link_count));
   metrics.augment_seconds.observe(report.stats.augment_seconds);
   metrics.solve_seconds.observe(report.stats.solve_seconds);

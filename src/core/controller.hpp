@@ -138,6 +138,13 @@ class DynamicCapacityController {
     double total_seconds = 0.0;
     /// Augment->solve->translate passes (1 + accepted/tried consolidations).
     std::uint64_t evaluations = 0;
+    /// Consolidation trials on the prefix-reuse path (docs/SOLVERS.md §6):
+    /// demand solves copied from the evaluation behind the current plan,
+    /// and demand solves the trials ran. Counted from the trials' own
+    /// traces, speculative ones included; both 0 when trials run in full
+    /// (gadget mode, an armed fault plan, an engine without traces).
+    std::uint64_t trial_demands_reused = 0;
+    std::uint64_t trial_demands_solved = 0;
     /// Solver work observed during this round (deltas of the global
     /// registry counters; which ones move depends on the TE engine).
     std::uint64_t mincost_runs = 0;       ///< flow.mincost.runs delta
@@ -250,26 +257,41 @@ class DynamicCapacityController {
   }
 
  private:
+  /// What a consolidation trial reuses from the evaluation behind the
+  /// current plan: the engine's output and trace on that evaluation's
+  /// augmented graph, and that graph's fake edge per base link. An empty
+  /// trace means trials run in full.
+  struct TrialState {
+    te::FlowAssignment assignment;
+    te::SolveTrace trace;
+    std::vector<graph::EdgeId> fake_edge_of;
+  };
+
   /// One augment -> solve -> translate evaluation against `current`.
   /// Stage wall-times and the evaluation count accumulate into `stats`.
   /// With `cache` non-null the augmentation goes through the dirty-link
   /// cache (primary evaluation of an incremental round); consolidation
   /// trials pass nullptr because their reduced variable sets would thrash
-  /// the cache.
+  /// the cache. With `traced` non-null the engine is asked for a trace,
+  /// kept there with its output; with `base` set too the solve is a trial
+  /// that reuses the prefix `base` left unaffected.
   ReconfigurationPlan evaluate(const graph::Graph& current,
                                std::span<const VariableLink> variable_links,
                                const te::TrafficMatrix& demands,
                                RoundStats& stats,
-                               AugmentCache* cache = nullptr) const;
+                               AugmentCache* cache = nullptr,
+                               const TrialState* base = nullptr,
+                               TrialState* traced = nullptr) const;
 
   /// Consolidation post-pass on report.plan: drops upgrades whose removal
   /// does not hurt throughput or penalty. Serial at pool sizes <= 1; at
   /// larger sizes the remaining candidates are evaluated in speculative
   /// waves whose in-order acceptance scan reproduces the serial decision
-  /// sequence bit-for-bit.
+  /// sequence bit-for-bit. `base` is the primary evaluation's trial state;
+  /// every accepted trial's replaces it.
   void consolidate(exec::ThreadPool& pool, const graph::Graph& current,
                    std::span<const VariableLink> variable_links,
-                   const te::TrafficMatrix& demands,
+                   const te::TrafficMatrix& demands, TrialState base,
                    RoundReport& report) const;
 
   /// Inputs and outcome of the last full solve (options_.incremental): a

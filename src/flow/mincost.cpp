@@ -17,9 +17,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Flags the arc pair of `arc` in `won` (when tracking).
+void mark_won(std::vector<std::uint8_t>* won, int arc) {
+  if (won != nullptr) (*won)[static_cast<std::size_t>(arc) / 2] = 1;
+}
+
 /// Bellman-Ford distances from `source` over positive-residual arcs; used to
 /// initialize potentials when negative costs are present.
-std::vector<double> bellman_ford(const ResidualNetwork& net, int source) {
+std::vector<double> bellman_ford(const ResidualNetwork& net, int source,
+                                 std::vector<std::uint8_t>* won) {
   std::vector<double> dist(net.node_count(), kInf);
   dist[static_cast<std::size_t>(source)] = 0.0;
   const auto n = net.node_count();
@@ -34,6 +40,7 @@ std::vector<double> bellman_ford(const ResidualNetwork& net, int source) {
       const double candidate = from_dist + net.cost(static_cast<int>(arc));
       if (candidate < dist[static_cast<std::size_t>(to)] - 1e-12) {
         dist[static_cast<std::size_t>(to)] = candidate;
+        mark_won(won, static_cast<int>(arc));
         changed = true;
       }
     }
@@ -51,7 +58,8 @@ struct DijkstraResult {
 /// Dijkstra over reduced costs cost(arc) + pot[src] - pot[dst] (>= 0).
 DijkstraResult dijkstra_reduced(const ResidualNetwork& net, int source,
                                 int sink,
-                                const std::vector<double>& potential) {
+                                const std::vector<double>& potential,
+                                std::vector<std::uint8_t>* won) {
   DijkstraResult result;
   result.distance.assign(net.node_count(), kInf);
   result.parent_arc.assign(net.node_count(), -1);
@@ -82,6 +90,7 @@ DijkstraResult dijkstra_reduced(const ResidualNetwork& net, int source,
           result.distance[static_cast<std::size_t>(next)] - 1e-12) {
         result.distance[static_cast<std::size_t>(next)] = candidate;
         result.parent_arc[static_cast<std::size_t>(next)] = arc;
+        mark_won(won, arc);
         heap.emplace(candidate, next);
       }
     }
@@ -129,9 +138,11 @@ NetworkFingerprints network_fingerprints(const ResidualNetwork& net,
 MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
                                     int sink, double flow_limit,
                                     MinCostWarmStart* warm,
-                                    std::uint64_t max_augmentations) {
+                                    std::uint64_t max_augmentations,
+                                    std::vector<std::uint8_t>* won) {
   RWC_EXPECTS(source != sink);
   RWC_EXPECTS(flow_limit >= 0.0);
+  if (won != nullptr) won->assign(net.arc_count() / 2, 0);
 
   // One registry flush per solve keeps the augmenting loop atomic-free
   // (docs/OBSERVABILITY.md: flow.mincost.*, solver.warm_*).
@@ -171,6 +182,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
   bool budget_exhausted = false;
   bool replay_complete = false;  // replay alone satisfied this solve
   bool resumed = false;          // replay done, continue live from potentials
+  bool from_recording = false;   // a recording served (part of) this solve
 
   // Resets *warm to a fresh about-to-record state for this network.
   const auto start_fresh_recording = [&]() {
@@ -185,6 +197,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
   if (warm != nullptr) {
     if (!warm->empty() && warm->fingerprint == fingerprint) {
       warm_hits.add();
+      from_recording = true;
       // Replay: push the recorded augmenting paths. The sequence is
       // limit-independent (see header), so only the truncation of the
       // final push depends on flow_limit.
@@ -370,6 +383,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
           start_fresh_recording();
         } else {
           partial_repairs.add();
+          from_recording = true;
           if (consumed_all && !limit_bound && !budget_exhausted) {
             // Every recorded path was verified and replayed: rewrite the
             // recording against this network (same paths and costs, live
@@ -414,14 +428,18 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
   if (!replay_complete) {
     if (!resumed) {
       // Potentials: zero when all costs are non-negative, else Bellman-Ford.
+      // Every negative arc counts as won: removing all of them would
+      // switch Bellman-Ford off.
       bool has_negative = false;
       for (std::size_t arc = 0; arc < net.arc_count(); arc += 2)
         if (net.cost(static_cast<int>(arc)) < 0.0 &&
-            net.residual(static_cast<int>(arc)) > kFlowEps)
+            net.residual(static_cast<int>(arc)) > kFlowEps) {
           has_negative = true;
+          mark_won(won, static_cast<int>(arc));
+        }
       potential.assign(net.node_count(), 0.0);
       if (has_negative) {
-        potential = bellman_ford(net, source);
+        potential = bellman_ford(net, source, won);
         // Unreachable nodes keep an infinite potential; dijkstra skips them.
       }
     }
@@ -432,7 +450,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
         budget_exhausted = true;
         break;
       }
-      const auto sp = dijkstra_reduced(net, source, sink, potential);
+      const auto sp = dijkstra_reduced(net, source, sink, potential, won);
       if (!sp.reached_sink) {
         exhausted = true;
         break;
@@ -488,6 +506,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
     }
   }
 
+  if (won != nullptr && from_recording) won->assign(won->size(), 1);
   if (budget_exhausted) {
     result.status = SolveStatus::kBudgetExhausted;
     budget_stops.add();

@@ -155,11 +155,22 @@ struct MinCostWarmStart {
 /// network, so warm results stay bit-identical to cold ones. The
 /// `flow.mincost` fault site (docs/FAULTS.md) can clamp the budget further,
 /// keyed by the network fingerprint.
+///
+/// When `won` is non-null it is resized to arc_count() / 2 and flags, per
+/// arc pair (pair i = arcs 2i and 2i+1), whether the pair could have
+/// influenced this solve: one of its arcs won a Bellman-Ford or Dijkstra
+/// relaxation, or its forward arc's negative cost made Bellman-Ford run.
+/// A failed relaxation has no side effect, so the same solve on this
+/// network minus any set of unflagged pairs (remaining arcs in the same
+/// relative order) is bit-identical. A replayed, repaired or resumed solve
+/// flags every pair: its relaxations were never observed. This is the key
+/// of te::McfTe's consolidation-trial prefix reuse (docs/SOLVERS.md §6).
 MinCostFlowResult min_cost_max_flow(
     ResidualNetwork& net, int source, int sink,
     double flow_limit = std::numeric_limits<double>::infinity(),
     MinCostWarmStart* warm = nullptr,
-    std::uint64_t max_augmentations = kDefaultMaxAugmentations);
+    std::uint64_t max_augmentations = kDefaultMaxAugmentations,
+    std::vector<std::uint8_t>* won = nullptr);
 
 /// Thread-safe fingerprint-keyed store of warm-start recordings with FIFO
 /// eviction. Shared by repeated solves (e.g. one per TE demand per round);

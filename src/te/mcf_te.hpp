@@ -13,6 +13,12 @@
 // solves; on any change the fingerprint misses and the solve runs cold
 // (docs/CONCURRENCY.md, "Warm starts"). Safe under concurrent solve()
 // calls: the cache is thread-safe and only affects timing, never results.
+//
+// Trials: solve_traced() with a base reuses the routings of every demand
+// solved before the first one in which an edge the trial removed won a
+// relaxation — those solves are bit-identical on the trial graph — and
+// solves only the rest, without touching the warm cache (docs/SOLVERS.md
+// §6). The consolidation pass's one-upgrade-fewer trials are this case.
 #pragma once
 
 #include "flow/mincost.hpp"
@@ -46,6 +52,15 @@ class McfTe final : public TeAlgorithm {
   FlowAssignment solve(const graph::Graph& graph,
                        const TrafficMatrix& demands) const override;
 
+  /// Traced solve; a trial when `base` is set. While a fault plan is armed
+  /// a trial runs as a full solve() and keeps no trace: `flow.mincost`
+  /// faults key on network fingerprints, which a copied demand never
+  /// computes on the trial graph.
+  FlowAssignment solve_traced(const graph::Graph& graph,
+                              const TrafficMatrix& demands,
+                              const TrialBase* base,
+                              SolveTrace& trace) const override;
+
   const Options& options() const { return options_; }
 
   /// The engine's warm-start store, exposed for checkpointing
@@ -54,6 +69,12 @@ class McfTe final : public TeAlgorithm {
   flow::WarmStartCache& warm_cache() const { return warm_cache_; }
 
  private:
+  /// The one per-demand loop behind solve() and solve_traced(): traces
+  /// into `trace` when non-null; with `base`, copies the reusable prefix
+  /// and solves the rest without the warm cache.
+  FlowAssignment run(const graph::Graph& graph, const TrafficMatrix& demands,
+                     const TrialBase* base, SolveTrace* trace) const;
+
   Options options_;
   mutable flow::WarmStartCache warm_cache_;
 };
