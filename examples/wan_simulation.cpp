@@ -1,6 +1,6 @@
 // Scenario: a week in the life of a continental WAN.
 //
-// Runs the discrete-event simulator on the 24-node US backbone with
+// Runs the time-stepped simulator on the 24-node US backbone with
 // gravity + diurnal traffic and compares all four capacity policies —
 // the experiment a network operator would run before deploying dynamic
 // link capacities.

@@ -77,10 +77,9 @@ struct SolverCounters {
   std::uint64_t mincost_paths;
   std::uint64_t simplex_solves;
   std::uint64_t simplex_iterations;
-  /// Partial-tier activity (docs/SOLVERS.md): verified min-cost repairs
-  /// plus LP warm-basis replays and memo hits. Their per-round delta
-  /// drives RoundStats.partial_resolve.
-  std::uint64_t partial_reuses;
+  /// Partial-tier activity (docs/SOLVERS.md): verified min-cost repairs.
+  /// The per-round delta drives RoundStats.partial_resolve.
+  std::uint64_t partial_repairs;
 
   static SolverCounters read() {
     static auto& registry = obs::Registry::global();
@@ -91,14 +90,10 @@ struct SolverCounters {
         registry.counter("lp.simplex.iterations");
     static auto& partial_repairs =
         registry.counter("solver.partial_repairs");
-    static auto& basis_hits = registry.counter("lp.basis_reuse_hits");
-    static auto& basis_memo_hits =
-        registry.counter("lp.basis_reuse_memo_hits");
     return SolverCounters{mincost_runs.value(), mincost_paths.value(),
                           simplex_solves.value(),
                           simplex_iterations.value(),
-                          partial_repairs.value() + basis_hits.value() +
-                              basis_memo_hits.value()};
+                          partial_repairs.value()};
   }
 };
 
@@ -597,7 +592,7 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
   report.stats.simplex_iterations = counters_after.simplex_iterations -
                                     counters_before.simplex_iterations;
   report.stats.partial_resolve =
-      counters_after.partial_reuses > counters_before.partial_reuses;
+      counters_after.partial_repairs > counters_before.partial_repairs;
   if (physical_.edge_count() > 0)
     report.stats.dirty_fraction =
         static_cast<double>(report.stats.dirty_links) /

@@ -108,14 +108,12 @@ InstanceResult run_instance(const FleetConfig& config, std::size_t instance) {
   if (config.demand.estimated())
     replay_config.demand.seed = config.demand.seed ^ trace_seed;
 
-  // Engines are per-instance: their warm/path caches never alias across
-  // instances (and caches are timing-only anyway).
+  // Engines are per-instance: McfTe's warm cache never aliases across
+  // instances (and it is timing-only anyway). SwanTe is stateless.
   te::McfTe::Options mcf_options;
   mcf_options.partial_repair = config.partial;
-  te::SwanTe::Options swan_options;
-  swan_options.warm_basis = config.partial;
   te::McfTe mcf(mcf_options);
-  te::SwanTe swan(swan_options);
+  const te::SwanTe swan;
   const te::TeAlgorithm& engine =
       config.engine == EngineKind::kMcf
           ? static_cast<const te::TeAlgorithm&>(mcf)

@@ -74,7 +74,7 @@ struct FleetConfig {
   /// timing and work counters only, never results.
   bool incremental = true;
   /// Solver partial tier (docs/SOLVERS.md): verified warm-start repair in
-  /// the mincost engine and pivot-replay warm bases in the SWAN LPs.
+  /// the mincost engine (EngineKind::kMcf only; SWAN always solves cold).
   /// Bit-identical to cold solves by construction — changes timing and
   /// work counters only, never results or the fleet chain.
   /// RWC_PARTIAL_RESOLVE=0 flips the default off for bisection.

@@ -113,7 +113,7 @@ struct MinCostWarmStart {
   /// diff its residuals against `initial_residuals` and replay the recorded
   /// paths under support verification (see min_cost_max_flow). Zero /
   /// empty on recordings restored from checkpoints — the fields are
-  /// deliberately never serialized (docs/REPLAY.md: warm bases are
+  /// deliberately never serialized (docs/REPLAY.md: they are
   /// observational; restored recordings are repair-ineligible, so the first
   /// perturbed round after a restore solves cold).
   std::uint64_t struct_fingerprint = 0;

@@ -32,7 +32,8 @@ enum class SectionId : std::uint32_t {
   kCursors = 3,
   kRng = 4,
   kWarmCache = 5,
-  kPathCache = 6,
+  // 6 was the SWAN tunnel-path cache (retired with it; never reuse the id).
+  // Checkpoints that still carry it decode as unknown-and-skipped.
   kObs = 7,
   kServe = 8,
   kUpdate = 9,
@@ -336,41 +337,6 @@ bool decode_warm_cache(std::span<const std::byte> payload, Checkpoint& out) {
   return !reader.failed() && reader.exhausted();
 }
 
-std::vector<std::byte> encode_path_cache(const Checkpoint& checkpoint) {
-  ByteWriter writer;
-  writer.u64(checkpoint.path_entries.size());
-  for (const auto& entry : checkpoint.path_entries) {
-    writer.u64(entry.fingerprint);
-    writer.i32(entry.source);
-    writer.i32(entry.target);
-    writer.u64(entry.k);
-    writer.u64(entry.paths.size());
-    for (const graph::Path& path : entry.paths) write_path(writer, path);
-  }
-  return writer.take();
-}
-
-bool decode_path_cache(std::span<const std::byte> payload, Checkpoint& out) {
-  ByteReader reader(payload);
-  const std::uint64_t count = reader.u64();
-  if (!reader.fits(count)) return false;
-  out.path_entries.reserve(count);
-  for (std::uint64_t e = 0; e < count && !reader.failed(); ++e) {
-    graph::PathCache::ExportedEntry entry;
-    entry.fingerprint = reader.u64();
-    entry.source = reader.i32();
-    entry.target = reader.i32();
-    entry.k = reader.u64();
-    const std::uint64_t paths = reader.u64();
-    if (!reader.fits(paths)) return false;
-    entry.paths.reserve(paths);
-    for (std::uint64_t p = 0; p < paths && !reader.failed(); ++p)
-      entry.paths.push_back(read_path(reader));
-    out.path_entries.push_back(std::move(entry));
-  }
-  return !reader.failed() && reader.exhausted();
-}
-
 std::vector<std::byte> encode_obs(const Checkpoint& checkpoint) {
   ByteWriter writer;
   writer.u64(checkpoint.obs_counters.size());
@@ -505,10 +471,8 @@ std::vector<std::byte> encode(const Checkpoint& checkpoint) {
   sections.emplace_back(SectionId::kController, encode_controller(checkpoint));
   sections.emplace_back(SectionId::kCursors, encode_cursors(checkpoint));
   sections.emplace_back(SectionId::kRng, encode_rng(checkpoint));
-  if (checkpoint.caches_present) {
+  if (checkpoint.caches_present)
     sections.emplace_back(SectionId::kWarmCache, encode_warm_cache(checkpoint));
-    sections.emplace_back(SectionId::kPathCache, encode_path_cache(checkpoint));
-  }
   if (checkpoint.obs_present)
     sections.emplace_back(SectionId::kObs, encode_obs(checkpoint));
   if (checkpoint.serve_present)
@@ -616,10 +580,6 @@ Error decode(std::span<const std::byte> bytes, Checkpoint& out) {
         break;
       case SectionId::kWarmCache:
         ok = decode_warm_cache(payload, out);
-        out.caches_present = true;
-        break;
-      case SectionId::kPathCache:
-        ok = decode_path_cache(payload, out);
         out.caches_present = true;
         break;
       case SectionId::kObs:

@@ -4,7 +4,7 @@
 // ReplayDriver — controller hysteresis/round state, the SNR trace cursor
 // positions at the current chunk base, the analytic-accounting Rng stream,
 // cumulative metrics, a rolling round-signature digest, and (optionally)
-// the TE engine's warm-start / path caches and the global obs counters.
+// the TE engine's warm-start cache and the global obs counters.
 // A driver built with the same inputs and restored from a checkpoint
 // continues bit-identically to the uninterrupted run (docs/REPLAY.md states
 // the contract; tests/test_replay_driver.cpp proves it at pool sizes
@@ -40,7 +40,6 @@
 #include "core/controller.hpp"
 #include "demand/pipeline.hpp"
 #include "flow/mincost.hpp"
-#include "graph/path_cache.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/snr_model.hpp"
 #include "util/rng.hpp"
@@ -94,12 +93,11 @@ struct Checkpoint {
   // Rng section: the analytic latency-accounting stream.
   util::RngState latency_rng;
 
-  // Cache sections (optional). Absent == explicit cold-cache marker:
-  // restore clears the live caches, which only changes timing, never
-  // results.
+  // Warm-cache section (optional; McfTe's min-cost warm starts). Absent ==
+  // explicit cold-cache marker: restore clears the live cache, which only
+  // changes timing, never results.
   bool caches_present = false;
-  std::vector<flow::MinCostWarmStart> warm_recordings;        ///< FIFO order
-  std::vector<graph::PathCache::ExportedEntry> path_entries;  ///< FIFO order
+  std::vector<flow::MinCostWarmStart> warm_recordings;  ///< FIFO order
 
   // Obs section (optional): cumulative counters/gauges of the global
   // registry. Histograms are not captured — a restore resets them

@@ -9,7 +9,6 @@
 #include "obs/timer.hpp"
 #include "sim/workload.hpp"
 #include "te/mcf_te.hpp"
-#include "te/swan.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
@@ -343,8 +342,6 @@ Checkpoint ReplayDriver::checkpoint() const {
       for (const auto& recording : mcf->warm_cache().snapshot())
         out.warm_recordings.push_back(*recording);
     }
-    if (const auto* swan = dynamic_cast<const te::SwanTe*>(&engine_))
-      out.path_entries = swan->path_cache().snapshot();
   }
   if (config_.checkpoint_obs) {
     out.obs_present = true;
@@ -412,9 +409,10 @@ Error ReplayDriver::restore(const Checkpoint& checkpoint) {
   // checkpointed run was consuming.
   fill_chunk_from_cursors();
 
-  // Engine caches: restore the persisted contents, or reset to the
-  // explicit cold state. Either way results are unchanged — caches only
-  // affect timing (docs/CONCURRENCY.md).
+  // Engine cache (McfTe's warm starts; SwanTe is stateless): restore the
+  // persisted contents, or reset to the explicit cold state. Either way
+  // results are unchanged — the cache only affects timing
+  // (docs/CONCURRENCY.md).
   if (const auto* mcf = dynamic_cast<const te::McfTe*>(&engine_)) {
     std::vector<std::shared_ptr<const flow::MinCostWarmStart>> recordings;
     recordings.reserve(checkpoint.warm_recordings.size());
@@ -423,8 +421,6 @@ Error ReplayDriver::restore(const Checkpoint& checkpoint) {
           std::make_shared<const flow::MinCostWarmStart>(recording));
     mcf->warm_cache().restore(std::move(recordings));
   }
-  if (const auto* swan = dynamic_cast<const te::SwanTe*>(&engine_))
-    swan->path_cache().restore(checkpoint.path_entries);
 
   driver_metrics.restores.add();
   driver_metrics.restore_seconds.observe(watch.seconds());

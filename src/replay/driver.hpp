@@ -60,7 +60,7 @@ struct ReplayConfig {
   /// config fingerprint: chunk boundaries decide which cursor states a
   /// checkpoint carries.
   std::uint64_t chunk_rounds = 256;
-  /// Persist the TE engine's warm-start / path caches in checkpoints.
+  /// Persist the TE engine's warm-start cache (McfTe only) in checkpoints.
   /// Either way restore is bit-identical — caches only change timing — so
   /// this trades checkpoint size against post-restore warm-up.
   bool checkpoint_caches = true;

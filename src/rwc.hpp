@@ -33,7 +33,6 @@
 #include "graph/dot.hpp"
 #include "graph/graph.hpp"
 #include "graph/ksp.hpp"
-#include "graph/path_cache.hpp"
 
 // flow — max-flow / min-cost-flow solvers
 #include "flow/cycle_cancel.hpp"
@@ -92,8 +91,7 @@
 #include "core/penalty.hpp"
 #include "core/translate.hpp"
 
-// sim — discrete-event WAN simulation
-#include "sim/event.hpp"
+// sim — time-stepped WAN simulation
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"

@@ -1,4 +1,4 @@
-// Discrete-event WAN simulator: drives SNR telemetry, a capacity policy and
+// Time-stepped WAN simulator: drives SNR telemetry, a capacity policy and
 // a TE engine over a time horizon, accounting delivered traffic,
 // availability, failures/flaps and reconfiguration downtime.
 //
@@ -21,7 +21,6 @@
 #include "bvt/latency.hpp"
 #include "demand/config.hpp"
 #include "graph/graph.hpp"
-#include "sim/event.hpp"
 #include "te/algorithm.hpp"
 #include "telemetry/snr_model.hpp"
 

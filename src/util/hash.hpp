@@ -10,7 +10,7 @@
 
 namespace rwc::util {
 
-/// Murmur3-finalizer-style mixer: solver fingerprints (flow, lp, graph),
+/// Murmur3-finalizer-style mixer: min-cost solver fingerprints,
 /// replay/serve signature chains, epoch checksums and the fleet chain.
 inline std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
   value *= 0xff51afd7ed558ccdULL;

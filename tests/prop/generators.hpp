@@ -76,7 +76,6 @@ inline const std::vector<SiteProfile>& degrading_sites() {
 inline const std::vector<SiteProfile>& timing_sites() {
   static const std::vector<SiteProfile> sites = {
       {"cache.warm.find", false, {fault::Kind::kInvalidate}},
-      {"cache.path.lookup", false, {fault::Kind::kInvalidate}},
       {"exec.steal", true, {fault::Kind::kDelay}},
   };
   return sites;

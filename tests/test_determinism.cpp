@@ -90,8 +90,9 @@ TEST(Determinism, ControllerRoundIsPoolSizeInvariantWithWarmMcf) {
 }
 
 TEST(Determinism, ControllerRoundIsPoolSizeInvariantWithSwan) {
-  // LP engine with the shared tunnel path cache: concurrent solves during
-  // waves exercise the cache's double-compute path.
+  // LP engine shared by concurrent solves during waves. SwanTe is
+  // stateless, so every solve is a pure function of its inputs and the
+  // round must not depend on how the pool interleaves them.
   exec::ThreadPool serial(0);
   const te::SwanTe serial_engine;
   const RoundOutcome expected = run_controller_round(serial_engine, serial);

@@ -2,19 +2,30 @@
 // section, typed rejection of every corruption class the format defends
 // against (bad magic/version, truncation at any byte, CRC-detected bit
 // rot, missing mandatory sections), file IO, the replay.restore fault
-// site, and CheckpointStore rotation + deterministic fallback.
+// site, CheckpointStore rotation + deterministic fallback, and skipping of
+// retired section ids.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "fault/registry.hpp"
+#include "graph/ksp.hpp"
 #include "obs/registry.hpp"
 #include "replay/checkpoint.hpp"
+#include "replay/driver.hpp"
+#include "replay/wire.hpp"
+#include "sim/topology.hpp"
+#include "sim/workload.hpp"
+#include "te/swan.hpp"
+#include "util/rng.hpp"
 
 namespace rwc {
 namespace {
@@ -88,14 +99,6 @@ Checkpoint sample_checkpoint(bool with_caches = true, bool with_obs = true) {
     recording.exhausted = true;
     recording.final_potential = {0.0, 1.0, 2.0};
     ck.warm_recordings.push_back(recording);
-
-    graph::PathCache::ExportedEntry entry;
-    entry.fingerprint = 0xBEEFull;
-    entry.source = 0;
-    entry.target = 1;
-    entry.k = 4;
-    entry.paths = {path};
-    ck.path_entries.push_back(entry);
   }
   if (with_obs) {
     ck.obs_present = true;
@@ -192,20 +195,6 @@ void expect_checkpoints_equal(const Checkpoint& a, const Checkpoint& b) {
     EXPECT_EQ(a.warm_recordings[i].final_potential,
               b.warm_recordings[i].final_potential);
   }
-  ASSERT_EQ(a.path_entries.size(), b.path_entries.size());
-  for (std::size_t i = 0; i < a.path_entries.size(); ++i) {
-    EXPECT_EQ(a.path_entries[i].fingerprint, b.path_entries[i].fingerprint);
-    EXPECT_EQ(a.path_entries[i].source, b.path_entries[i].source);
-    EXPECT_EQ(a.path_entries[i].target, b.path_entries[i].target);
-    EXPECT_EQ(a.path_entries[i].k, b.path_entries[i].k);
-    ASSERT_EQ(a.path_entries[i].paths.size(), b.path_entries[i].paths.size());
-    for (std::size_t p = 0; p < a.path_entries[i].paths.size(); ++p) {
-      EXPECT_EQ(a.path_entries[i].paths[p].edges,
-                b.path_entries[i].paths[p].edges);
-      EXPECT_EQ(a.path_entries[i].paths[p].weight,
-                b.path_entries[i].paths[p].weight);
-    }
-  }
   EXPECT_EQ(a.obs_present, b.obs_present);
   EXPECT_EQ(a.obs_counters, b.obs_counters);
   EXPECT_EQ(a.obs_gauges, b.obs_gauges);
@@ -246,7 +235,6 @@ TEST(ReplayCheckpoint, ColdCacheMarkerRoundTrips) {
   EXPECT_FALSE(decoded.caches_present);
   EXPECT_FALSE(decoded.obs_present);
   EXPECT_TRUE(decoded.warm_recordings.empty());
-  EXPECT_TRUE(decoded.path_entries.empty());
 }
 
 TEST(ReplayCheckpoint, DecodeRejectsBadMagic) {
@@ -293,6 +281,101 @@ TEST(ReplayCheckpoint, DecodeRejectsMissingMandatorySection) {
   bytes[16] = std::byte{200};
   Checkpoint out;
   EXPECT_EQ(replay::decode(bytes, out), Error::kMissingSection);
+}
+
+/// A section id-6 payload laid out the way the retired SWAN tunnel-path
+/// cache wrote it: u64 entry count, then per entry u64 weight fingerprint,
+/// i32 source, i32 target, u64 k, u64 path count and the paths (u64 edge
+/// count, i32 edge ids, f64 weight).
+std::vector<std::byte> retired_tunnel_section_payload(const graph::Graph& graph) {
+  replay::wire::ByteWriter writer;
+  const std::vector<graph::Path> paths =
+      graph::k_shortest_paths(graph, graph::NodeId{0}, graph::NodeId{1}, 4);
+  writer.u64(1);
+  writer.u64(0xBEEFull);
+  writer.i32(0);
+  writer.i32(1);
+  writer.u64(4);
+  writer.u64(paths.size());
+  for (const graph::Path& path : paths) {
+    writer.u64(path.edges.size());
+    for (graph::EdgeId edge : path.edges) writer.i32(edge.value);
+    writer.f64(path.weight);
+  }
+  return writer.take();
+}
+
+/// Inserts a CRC-framed section `id` right after the section with id
+/// `after` in the encoded checkpoint `bytes` and bumps the header's section
+/// count. Returns false when no section `after` exists.
+bool splice_section(std::vector<std::byte>& bytes, std::uint32_t after,
+                    std::uint32_t id, const std::vector<std::byte>& payload) {
+  replay::wire::ByteReader header{std::span(bytes).subspan(12, 4)};
+  const std::uint32_t sections = header.u32();
+  std::size_t offset = 16;  // magic[8] | u32 version | u32 section_count
+  for (std::uint32_t s = 0; s < sections; ++s) {
+    replay::wire::ByteReader frame{std::span(bytes).subspan(offset, 16)};
+    const std::uint32_t section_id = frame.u32();
+    const std::uint64_t length = frame.u64();
+    offset += 16 + length;
+    if (section_id != after) continue;
+    replay::wire::ByteWriter framed;
+    framed.u32(id);
+    framed.u64(payload.size());
+    framed.u32(replay::crc32(payload));
+    std::vector<std::byte> section = framed.take();
+    section.insert(section.end(), payload.begin(), payload.end());
+    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+                 section.begin(), section.end());
+    replay::wire::ByteWriter count;
+    count.u32(sections + 1);
+    std::copy(count.bytes().begin(), count.bytes().end(), bytes.begin() + 12);
+    return true;
+  }
+  return false;
+}
+
+TEST(ReplayCheckpoint, RetiredTunnelSectionIsSkippedOnRestore) {
+  // Section id 6 held SwanTe's tunnel-path cache until SwanTe became
+  // stateless. Checkpoints written before then carry it right after the
+  // warm-cache section (id 5); they must still decode, and a SWAN driver
+  // restored from one must continue exactly like the uninterrupted run.
+  util::Rng topo_rng = util::Rng::stream(20170701, 0);
+  const graph::Graph topology = sim::waxman(8, topo_rng);
+  util::Rng demand_rng = util::Rng::stream(20170701, 1);
+  sim::GravityParams gravity;
+  gravity.total = util::Gbps{topology.total_capacity().value * 0.4};
+  const te::TrafficMatrix demands =
+      sim::gravity_matrix(topology, gravity, demand_rng);
+  replay::ReplayConfig config;
+  config.rounds = 12;
+  config.seed = 7;
+  config.chunk_rounds = 8;
+  const te::SwanTe engine;
+
+  replay::ReplayDriver reference(topology, engine, demands, config);
+  reference.run(5);
+  const Checkpoint captured = reference.checkpoint();
+  ASSERT_TRUE(captured.caches_present);
+  std::vector<std::byte> bytes = replay::encode(captured);
+  const std::size_t plain_size = bytes.size();
+  ASSERT_TRUE(splice_section(bytes, /*after=*/5, /*id=*/6,
+                             retired_tunnel_section_payload(topology)));
+  ASSERT_GT(bytes.size(), plain_size);
+  reference.run();
+
+  Checkpoint decoded;
+  ASSERT_EQ(replay::decode(bytes, decoded), Error::kNone);
+  expect_checkpoints_equal(captured, decoded);
+  replay::ReplayDriver restored(topology, engine, demands, config);
+  ASSERT_EQ(restored.restore(decoded), Error::kNone);
+  restored.run();
+  EXPECT_EQ(restored.round(), reference.round());
+  EXPECT_EQ(restored.signature_chain(), reference.signature_chain());
+  EXPECT_EQ(restored.metrics().delivered_gbps_hours,
+            reference.metrics().delivered_gbps_hours);
+  EXPECT_EQ(restored.metrics().availability,
+            reference.metrics().availability);
 }
 
 TEST(ReplayCheckpoint, WriteReadFileRoundTrips) {

@@ -182,6 +182,9 @@ TEST(ReplayDriver, ColdCacheRestoreIsStillBitIdentical) {
 }
 
 TEST(ReplayDriver, SwanEngineKillRestoreRoundTripsPathCache) {
+  // The name predates stateless SwanTe, whose tunnel cache is gone: a SWAN
+  // checkpoint carries no engine state, and kill/restore must still
+  // continue bit-identically.
   const Fixture f = make_fixture(20170701, /*nodes=*/8);
   const te::SwanTe engine;
   const ReplayConfig config = small_config(/*rounds=*/12, /*chunk_rounds=*/8);
