@@ -36,6 +36,15 @@ void ResidualNetwork::push(int arc, double amount) {
 
 void ResidualNetwork::reset() { residuals_ = initial_; }
 
+void ResidualNetwork::set_capacities(std::span<const double> capacities) {
+  RWC_EXPECTS(capacities.size() * 2 == targets_.size());
+  for (std::size_t i = 0; i < capacities.size(); ++i) {
+    RWC_EXPECTS(capacities[i] >= 0.0);
+    residuals_[2 * i] = initial_[2 * i] = capacities[i];
+    residuals_[2 * i + 1] = initial_[2 * i + 1] = 0.0;
+  }
+}
+
 void ResidualNetwork::restore_residuals(std::vector<double> residuals) {
   RWC_EXPECTS(residuals.size() == residuals_.size());
   residuals_ = std::move(residuals);

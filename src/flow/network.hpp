@@ -56,6 +56,12 @@ class ResidualNetwork {
   /// Resets all arcs to their initial capacities (drops all flow).
   void reset();
 
+  /// Gives forward arc 2i residual and initial capacity `capacities[i]` and
+  /// its reverse arc 0, dropping all flow: the state a fresh build of the
+  /// same arcs with these capacities has, bit for bit. Requires one
+  /// capacity per arc pair, each >= 0.
+  void set_capacities(std::span<const double> capacities);
+
   /// All residuals in arc-index order. Pair with restore_residuals() for
   /// exact rollback of a partially applied solve (the min-cost repair path
   /// snapshots before replaying: re-deriving residuals by inverse pushes is

@@ -24,9 +24,13 @@ te::TrafficMatrix gravity_matrix(const graph::Graph& graph,
   if (params.mass_log_sigma > 0.0)
     for (double& m : mass) m = rng.lognormal(0.0, params.mass_log_sigma);
 
+  // One slot per ordered pair, exact without sparsity: growing by doubling
+  // leaves up to half the matrix's capacity unused while callers keep it.
   te::TrafficMatrix demands;
+  demands.reserve(n * (n - 1));
   double weight_sum = 0.0;
   std::vector<double> weights;
+  weights.reserve(n * (n - 1));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;

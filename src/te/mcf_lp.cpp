@@ -116,7 +116,6 @@ FlowAssignment McfLpTe::solve(const graph::Graph& graph,
   // Extract per-commodity edge flows; decompose into paths.
   for (int k = 0; k < commodities; ++k) {
     flow::ResidualNetwork net(graph.node_count());
-    std::vector<int> arc_of_edge(graph.edge_count());
     for (graph::EdgeId e : graph.edge_ids()) {
       const double f = solution.values[static_cast<std::size_t>(
           var(k, e.value))];
@@ -124,7 +123,6 @@ FlowAssignment McfLpTe::solve(const graph::Graph& graph,
       const int arc =
           net.add_arc(edge.src.value, edge.dst.value, std::max(0.0, f));
       net.push(arc, std::max(0.0, f));  // saturate: flow == capacity
-      arc_of_edge[static_cast<std::size_t>(e.value)] = arc;
     }
     const Demand& demand = demands[static_cast<std::size_t>(k)];
     const auto decomposition =

@@ -115,6 +115,14 @@ FlowAssignment McfTe::run(const graph::Graph& graph,
     }
   }
 
+  // One network per call, arc pair i = edge i. Before each demand it is
+  // reset to the remaining capacities, which leaves it bit-identical to a
+  // fresh build against them.
+  flow::ResidualNetwork net(graph.node_count());
+  for (graph::EdgeId edge : graph.edge_ids()) {
+    const graph::Edge& e = graph.edge(edge);
+    net.add_arc(e.src.value, e.dst.value, 0.0, e.cost);
+  }
   std::vector<std::uint8_t> won;
   for (std::size_t position = first_solved; position < order.size();
        ++position) {
@@ -124,15 +132,7 @@ FlowAssignment McfTe::run(const graph::Graph& graph,
     if (demand.volume.value <= flow::kFlowEps) continue;
     RWC_EXPECTS(demand.src != demand.dst);
 
-    // Fresh network against the remaining capacities.
-    flow::ResidualNetwork net(graph.node_count());
-    std::vector<int> arc_of_edge(graph.edge_count());
-    for (graph::EdgeId edge : graph.edge_ids()) {
-      const graph::Edge& e = graph.edge(edge);
-      arc_of_edge[static_cast<std::size_t>(edge.value)] = net.add_arc(
-          e.src.value, e.dst.value,
-          remaining[static_cast<std::size_t>(edge.value)], e.cost);
-    }
+    net.set_capacities(remaining);
     std::vector<std::uint8_t>* won_out = trace != nullptr ? &won : nullptr;
     if (options_.warm_start && base == nullptr) {
       // Exact record/replay keyed by the network fingerprint; replay is

@@ -1,8 +1,11 @@
 // Min-cost-flow TE: demands are routed sequentially (priority order, then
-// input order) as min-cost flows on a shared residual network. This is the
-// engine the augmentation theorem directly targets: on an augmented topology
-// the min-cost route maximizes throughput while minimizing activation
-// penalty for each demand in turn.
+// input order) as min-cost flows against the capacities earlier demands
+// left. This is the engine the augmentation theorem directly targets: on an
+// augmented topology the min-cost route maximizes throughput while
+// minimizing activation penalty for each demand in turn. Each call builds
+// one residual network (arc pair i = edge i) and resets it to the remaining
+// capacities before each demand (flow::ResidualNetwork::set_capacities), so
+// every per-demand solve sees the network a fresh build would give.
 //
 // Warm starts: every per-demand solve is keyed by an exact fingerprint of
 // its residual network (capacities after earlier demands, costs,

@@ -2,8 +2,14 @@
 // max-flow = min-cut property on random graphs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
+#include "flow/decompose.hpp"
 #include "flow/graph_adapter.hpp"
 #include "flow/maxflow.hpp"
+#include "flow/mincost.hpp"
 #include "flow/network.hpp"
 #include "sim/topology.hpp"
 #include "util/check.hpp"
@@ -38,6 +44,95 @@ TEST(ResidualNetwork, PushBeyondResidualThrows) {
   ResidualNetwork net(2);
   const int arc = net.add_arc(0, 1, 1.0);
   EXPECT_THROW(net.push(arc, 2.0), util::CheckError);
+}
+
+/// Bit patterns of `values`, so that equality is bitwise (-0.0 != 0.0).
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+TEST(ResidualNetwork, SetCapacitiesMatchesFreshBuild) {
+  util::Rng rng(17);
+  const graph::Graph g = sim::waxman(12, rng);
+  std::vector<double> costs;
+  std::vector<double> before;
+  std::vector<double> after;
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    costs.push_back(rng.uniform(0.5, 3.0));
+    before.push_back(rng.uniform(5.0, 40.0));
+    after.push_back(rng.bernoulli(0.2) ? 0.0 : rng.uniform(5.0, 40.0));
+  }
+  const auto build = [&](std::span<const double> capacities) {
+    ResidualNetwork net(g.node_count());
+    for (graph::EdgeId id : g.edge_ids()) {
+      const auto e = static_cast<std::size_t>(id.value);
+      net.add_arc(g.edge(id).src.value, g.edge(id).dst.value, capacities[e],
+                  costs[e]);
+    }
+    return net;
+  };
+  const int source = 0;
+  const int sink = 11;
+
+  // The reused network carries a solve's flow, then pushes rolled back by
+  // restore_residuals, before it is reset.
+  ResidualNetwork reused = build(before);
+  ASSERT_GT(min_cost_max_flow(reused, source, sink).flow, 0.0);
+  const std::vector<double> solved = reused.residuals();
+  for (int arc = 0; arc < static_cast<int>(reused.arc_count()); ++arc)
+    reused.push(arc, reused.residual(arc) / 2.0);
+  reused.restore_residuals(solved);
+  ASSERT_GT(reused.total_cost(), 0.0);
+  reused.set_capacities(after);
+  ResidualNetwork fresh = build(after);
+
+  EXPECT_EQ(bits(fresh.residuals()), bits(reused.residuals()));
+  ASSERT_EQ(fresh.arc_count(), reused.arc_count());
+  for (int arc = 0; arc < static_cast<int>(fresh.arc_count()); ++arc) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fresh.initial_capacity(arc)),
+              std::bit_cast<std::uint64_t>(reused.initial_capacity(arc)))
+        << "arc " << arc;
+  }
+  const NetworkFingerprints fresh_prints =
+      network_fingerprints(fresh, source, sink);
+  const NetworkFingerprints reused_prints =
+      network_fingerprints(reused, source, sink);
+  EXPECT_EQ(fresh_prints.exact, reused_prints.exact);
+  EXPECT_EQ(fresh_prints.structural, reused_prints.structural);
+
+  const auto solve = [&](ResidualNetwork& net, std::vector<std::uint8_t>& won) {
+    return min_cost_max_flow(net, source, sink,
+                             std::numeric_limits<double>::infinity(), nullptr,
+                             kDefaultMaxAugmentations, &won);
+  };
+  std::vector<std::uint8_t> fresh_won;
+  std::vector<std::uint8_t> reused_won;
+  const MinCostFlowResult expected = solve(fresh, fresh_won);
+  const MinCostFlowResult got = solve(reused, reused_won);
+  ASSERT_GT(expected.flow, 0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.flow),
+            std::bit_cast<std::uint64_t>(got.flow));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.cost),
+            std::bit_cast<std::uint64_t>(got.cost));
+  EXPECT_EQ(expected.status, got.status);
+  EXPECT_EQ(fresh_won, reused_won);
+  EXPECT_EQ(bits(fresh.residuals()), bits(reused.residuals()));
+
+  const Decomposition expected_paths = decompose_flow(fresh, source, sink);
+  const Decomposition got_paths = decompose_flow(reused, source, sink);
+  ASSERT_EQ(expected_paths.paths.size(), got_paths.paths.size());
+  for (std::size_t p = 0; p < expected_paths.paths.size(); ++p) {
+    EXPECT_EQ(expected_paths.paths[p].arcs, got_paths.paths[p].arcs);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(expected_paths.paths[p].amount),
+              std::bit_cast<std::uint64_t>(got_paths.paths[p].amount));
+  }
+
+  EXPECT_THROW(reused.set_capacities(std::span(after).first(after.size() - 1)),
+               util::CheckError);
+  after[after.size() / 2] = -1.0;
+  EXPECT_THROW(reused.set_capacities(after), util::CheckError);
 }
 
 TEST(MaxFlow, SimpleSeriesParallel) {
